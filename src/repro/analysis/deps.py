@@ -5,11 +5,12 @@ reordering a basic block into pre-loop / loop-iterations / post-loop
 order preserves semantics.  That holds iff every dependence edge of the
 original block still points forward in the new order.  This module
 computes those edges: SSA def-use edges plus memory/side-effect
-ordering edges refined by alias analysis.
+ordering edges refined by alias analysis, and their transitive closure.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Dict, List, Set, Tuple
 
 from ..ir.instructions import Call, Instruction, Load, Store
@@ -33,11 +34,31 @@ def _access_kind(inst: Instruction) -> Tuple[bool, bool]:
     return False, False
 
 
-class DependenceGraph:
+class BlockIndex:
+    """Block-order positions of one block's instructions.
+
+    Built once per visit of a block and shared by every question the
+    rolling search asks about it, so no per-candidate query rescans the
+    block.  Valid until the block is next rewritten.
+    """
+
+    def __init__(self, block: BasicBlock) -> None:
+        self.block = block
+        self.instructions: List[Instruction] = list(block.instructions)
+        self.position: Dict[int, int] = {
+            id(inst): i for i, inst in enumerate(self.instructions)
+        }
+
+
+class DependenceGraph(BlockIndex):
     """Pairwise must-precede relation over one basic block.
 
     ``edges[j]`` holds the set of earlier indices i such that the
-    instruction at i must execute before the instruction at j.
+    instruction at i must execute before the instruction at j.  The
+    transitive closure is kept as int bitsets (bit i of
+    ``ancestors[j]`` set iff j transitively depends on i; likewise
+    ``descendants``), each built on first use: only blocks that reach
+    the scheduling analysis pay for them.
     """
 
     def __init__(
@@ -46,11 +67,7 @@ class DependenceGraph:
         aa: AliasAnalysis,
         layout: DataLayout = DEFAULT_LAYOUT,
     ) -> None:
-        self.block = block
-        self.instructions: List[Instruction] = list(block.instructions)
-        self.index: Dict[int, int] = {
-            id(inst): i for i, inst in enumerate(self.instructions)
-        }
+        super().__init__(block)
         self.edges: List[Set[int]] = [set() for _ in self.instructions]
         self._build(aa, layout)
 
@@ -60,7 +77,7 @@ class DependenceGraph:
         # SSA def-use edges within the block.
         for j, inst in enumerate(insts):
             for op in inst.operands:
-                i = self.index.get(id(op))
+                i = self.position.get(id(op))
                 if i is not None and i < j:
                     self.edges[j].add(i)
 
@@ -88,22 +105,6 @@ class DependenceGraph:
                     self.edges[j].add(i)
 
     @staticmethod
-    def _may_conflict(
-        a: Instruction,
-        b: Instruction,
-        aa: AliasAnalysis,
-        layout: DataLayout,
-    ) -> bool:
-        loc_a = DependenceGraph._location(a, layout)
-        loc_b = DependenceGraph._location(b, layout)
-        if loc_a is None or loc_b is None:
-            # A call with unknown effects conflicts with everything,
-            # except pairs already filtered (read-read).
-            return True
-        (ptr_a, size_a), (ptr_b, size_b) = loc_a, loc_b
-        return aa.alias(ptr_a, size_a, ptr_b, size_b) is not AliasResult.NO
-
-    @staticmethod
     def _location(inst: Instruction, layout: DataLayout):
         if isinstance(inst, Load):
             return inst.pointer, layout.size_of(inst.type)
@@ -113,38 +114,29 @@ class DependenceGraph:
 
     def must_precede(self, a: Instruction, b: Instruction) -> bool:
         """Direct dependence edge a -> b (not transitive)."""
-        i = self.index[id(a)]
-        j = self.index[id(b)]
+        i = self.position[id(a)]
+        j = self.position[id(b)]
         if i > j:
             i, j = j, i
         return i in self.edges[j]
 
-    def respects(self, new_order: List[Instruction]) -> bool:
-        """Whether ``new_order`` preserves every dependence edge."""
-        position = {id(inst): p for p, inst in enumerate(new_order)}
-        for j, preds in enumerate(self.edges):
-            pj = position.get(id(self.instructions[j]))
-            if pj is None:
-                continue
+    @cached_property
+    def ancestors(self) -> List[int]:
+        """Per index, the bitset of indices it transitively depends on."""
+        ancestors: List[int] = []
+        for preds in self.edges:
+            bits = 0
             for i in preds:
-                pi = position.get(id(self.instructions[i]))
-                if pi is not None and pi >= pj:
-                    return False
-        return True
+                bits |= ancestors[i] | (1 << i)
+            ancestors.append(bits)
+        return ancestors
 
-    def predecessors_of(self, inst: Instruction) -> List[Instruction]:
-        """Instructions with a direct edge into ``inst``."""
-        j = self.index[id(inst)]
-        return [self.instructions[i] for i in sorted(self.edges[j])]
-
-    def transitive_predecessors(self, roots: List[Instruction]) -> Set[int]:
-        """Indices of all instructions the roots transitively depend on."""
-        result: Set[int] = set()
-        work = [self.index[id(r)] for r in roots if id(r) in self.index]
-        while work:
-            j = work.pop()
+    @cached_property
+    def descendants(self) -> List[int]:
+        """Per index, the bitset of indices transitively depending on it."""
+        descendants = [0] * len(self.edges)
+        for j in range(len(self.edges) - 1, -1, -1):
+            below = descendants[j] | (1 << j)
             for i in self.edges[j]:
-                if i not in result:
-                    result.add(i)
-                    work.append(i)
-        return result
+                descendants[i] |= below
+        return descendants

@@ -179,11 +179,17 @@ def _check_blocks(
 
     # SSA dominance: every non-phi instruction operand must be defined
     # in a dominating position (phi uses are checked at the end of the
-    # corresponding incoming block by ``dominates``).
+    # corresponding incoming block by ``dominates``).  Same-block uses
+    # read one position map per block (first occurrence wins, as with
+    # ``list.index``); the rest, and operands missing from their
+    # claimed parent block, ask the dominator tree.
     for block in blocks:
         if not domtree.is_reachable(block):
             continue
-        for inst in block.instructions:
+        insts = block.instructions
+        position = {id(insts[p]): p for p in range(len(insts) - 1, -1, -1)}
+        for inst in insts:
+            local = inst.parent is block and not isinstance(inst, Phi)
             for op in inst.operands:
                 if not isinstance(op, Instruction):
                     continue
@@ -192,17 +198,21 @@ def _check_blocks(
                         f"{inst!r} uses detached instruction {op!r}"
                     )
                     continue
-                try:
-                    dominated = domtree.dominates(op, inst)
-                except Exception as error:
-                    # Lying parent pointers make the dominance query
-                    # itself blow up; that is corruption, not a
-                    # verifier crash.
-                    errors.append(
-                        f"dominance query failed for {op.short_name()} used "
-                        f"in {inst!r}: {type(error).__name__}: {error}"
-                    )
-                    continue
+                if local and op.parent is block and id(op) in position:
+                    dominated = position[id(op)] < position[id(inst)]
+                else:
+                    try:
+                        dominated = domtree.dominates(op, inst)
+                    except Exception as error:
+                        # Lying parent pointers make the dominance
+                        # query itself blow up; that is corruption, not
+                        # a verifier crash.
+                        errors.append(
+                            f"dominance query failed for {op.short_name()} "
+                            f"used in {inst!r}: {type(error).__name__}: "
+                            f"{error}"
+                        )
+                        continue
                 if not dominated:
                     errors.append(
                         f"{op.short_name()} does not dominate its use in "

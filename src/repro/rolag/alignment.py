@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..analysis.deps import BlockIndex
 from ..ir.instructions import (
     BinaryOp,
     Call,
@@ -285,10 +286,13 @@ class AlignmentGraph:
         block: BasicBlock,
         config: Optional[RolagConfig] = None,
         layout: DataLayout = DEFAULT_LAYOUT,
+        index: Optional[BlockIndex] = None,
     ) -> None:
         self.block = block
         self.config = config or RolagConfig()
         self.layout = layout
+        #: Block positions, shared by every candidate of one block visit.
+        self.index = index if index is not None else BlockIndex(block)
         #: instruction id -> (node, lane) for every claimed instruction.
         self.claimed: Dict[int, Tuple[AlignNode, int]] = {}
         self.roots: List[AlignNode] = []
@@ -760,7 +764,7 @@ class AlignmentGraph:
         for inst_id, (node, lane) in self.claimed.items():
             if isinstance(node, (ReductionNode, MinMaxReductionNode)):
                 continue  # internal tree nodes checked separately
-            inst = self._claimed_instruction(node, lane, inst_id)
+            inst = self.find(inst_id)
             if inst is None:
                 continue
             for use in inst.uses:
@@ -783,26 +787,20 @@ class AlignmentGraph:
                 return False
         return True
 
-    def _claimed_instruction(
-        self, node: AlignNode, lane: int, inst_id: int
-    ) -> Optional[Instruction]:
-        if isinstance(node, MatchNode):
-            inst = node.lanes[lane]
-            return inst if id(inst) == inst_id else self._find(inst_id)
-        return self._find(inst_id)
-
-    def _find(self, inst_id: int) -> Optional[Instruction]:
-        for inst in self.block.instructions:
-            if id(inst) == inst_id:
-                return inst
-        return None
+    def find(self, inst_id: int) -> Optional[Instruction]:
+        """The block's instruction with ``id()`` ``inst_id``, if any."""
+        position = self.index.position.get(inst_id)
+        return None if position is None else self.index.instructions[position]
 
     # ----- queries used by scheduling / codegen --------------------------------
 
     def claimed_instructions(self) -> List[Instruction]:
         """Claimed instructions, in block order."""
+        position = self.index.position
+        insts = self.index.instructions
         return [
-            inst for inst in self.block.instructions if id(inst) in self.claimed
+            insts[p]
+            for p in sorted(position[i] for i in self.claimed if i in position)
         ]
 
     def node_histogram(self) -> Dict[str, int]:

@@ -145,9 +145,7 @@ class LoopCodeGenerator:
         # Rebuild the original block and the exit block.
         old_terminator = block.terminator
         assert old_terminator is not None
-        claimed_in_order = [
-            inst for inst in block.instructions if id(inst) in self.ag.claimed
-        ]
+        claimed_in_order = self.ag.claimed_instructions()
 
         for inst in self.schedule.after:
             inst.parent = exit_block

@@ -158,3 +158,37 @@ def bytes_to_ints(raw: bytes, width: int = 4) -> List[int]:
     fmt = {1: "b", 2: "h", 4: "i", 8: "q"}[width]
     count = len(raw) // width
     return list(struct.unpack(f"<{count}{fmt}", raw[: count * width]))
+
+
+# --- brute-force dependence oracles -------------------------------------
+#
+# The rolling search answers legality from transitive bitsets and checks
+# only the edges that can break; these replay the whole edge set instead
+# and are kept as the reference the fast path is tested against.
+
+
+def transitive_predecessors(dg, roots) -> set:
+    """Indices of every instruction the roots transitively depend on."""
+    result: set = set()
+    work = [dg.position[id(r)] for r in roots if id(r) in dg.position]
+    while work:
+        j = work.pop()
+        for i in dg.edges[j]:
+            if i not in result:
+                result.add(i)
+                work.append(i)
+    return result
+
+
+def respects(dg, new_order) -> bool:
+    """Whether ``new_order`` keeps every dependence edge of ``dg``."""
+    position = {id(inst): p for p, inst in enumerate(new_order)}
+    for j, preds in enumerate(dg.edges):
+        pj = position.get(id(dg.instructions[j]))
+        if pj is None:
+            continue
+        for i in preds:
+            pi = position.get(id(dg.instructions[i]))
+            if pi is not None and pi >= pj:
+                return False
+    return True

@@ -15,6 +15,7 @@ from repro.analysis import (
     underlying_object,
 )
 from repro.ir import parse_module, parse_function
+from tests.helpers import respects, transitive_predecessors
 
 
 DIAMOND = """
@@ -362,8 +363,8 @@ entry:
         )
         dg = DependenceGraph(fn.entry, AliasAnalysis(fn))
         a, b, ret = fn.entry.instructions
-        assert dg.respects([a, b, ret])
-        assert not dg.respects([b, a, ret])
+        assert respects(dg, [a, b, ret])
+        assert not respects(dg, [b, a, ret])
 
     def test_transitive_predecessors(self):
         fn = parse_function(
@@ -379,8 +380,10 @@ entry:
         )
         dg = DependenceGraph(fn.entry, AliasAnalysis(fn))
         a, b, c, ret = fn.entry.instructions
-        preds = dg.transitive_predecessors([c])
+        preds = transitive_predecessors(dg, [c])
         assert preds == {0, 1}
+        assert dg.ancestors[2] == 0b11
+        assert dg.descendants[0] == 0b1110
 
 
 class TestLoopInfo:
