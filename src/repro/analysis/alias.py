@@ -175,7 +175,16 @@ class AliasAnalysis:
             if off_a + size_a <= off_b or off_b + size_b <= off_a:
                 return AliasResult.NO
             return AliasResult.MAY
+        return self.objects_alias(base_a, base_b)
 
+    def objects_alias(self, base_a: Value, base_b: Value) -> AliasResult:
+        """May any access to object ``base_a`` overlap one to the
+        *distinct* object ``base_b``?
+
+        Offsets and sizes play no part once the bases differ, so a
+        caller can decide this once per pair of underlying objects
+        (see ``DependenceGraph``).
+        """
         # Two distinct identified objects never overlap.
         if _is_identified_object(base_a) and _is_identified_object(base_b):
             return AliasResult.NO

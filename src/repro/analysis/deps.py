@@ -16,6 +16,7 @@ from typing import Dict, List, Set, Tuple
 from ..ir.instructions import Call, Instruction, Load, Store
 from ..ir.module import BasicBlock
 from ..ir.types import DataLayout, DEFAULT_LAYOUT
+from ..ir.values import Value
 from .alias import AliasAnalysis, AliasResult
 
 
@@ -32,6 +33,21 @@ def _access_kind(inst: Instruction) -> Tuple[bool, bool]:
             return True, False
         return True, True
     return False, False
+
+
+class _Object:
+    """The accesses of one block to one underlying object, so far."""
+
+    __slots__ = ("base", "overlapping", "located", "accesses", "writes")
+
+    def __init__(self, base: Value) -> None:
+        self.base = base
+        #: Distinct objects an access to this one may overlap.
+        self.overlapping: List["_Object"] = []
+        #: (index, pointer, size, writes) per access.
+        self.located: List[Tuple[int, Value, int, bool]] = []
+        self.accesses: List[int] = []
+        self.writes: List[int] = []
 
 
 class BlockIndex:
@@ -81,28 +97,60 @@ class DependenceGraph(BlockIndex):
                 if i is not None and i < j:
                     self.edges[j].add(i)
 
-        # Memory ordering edges.  Classify and locate each access once
-        # up front: the pair loop below is quadratic in the number of
-        # memory operations, so per-pair re-derivation dominates the
-        # build on store-heavy (i.e. rollable) blocks.
-        mem_ops = []
-        for i, inst in enumerate(insts):
-            reads, writes = _access_kind(inst)
-            if reads or writes:
-                mem_ops.append((i, inst, writes, self._location(inst, layout)))
+        # Memory ordering edges, built per underlying object rather
+        # than per access pair.  Between two *distinct* objects the
+        # alias verdict depends on the two bases alone, so it is
+        # decided once per object pair, when the later object first
+        # appears, and an access then takes its edges wholesale from
+        # the index lists of every object that may overlap its own.
+        # Offsets are compared pairwise only between accesses to the
+        # same object.  An opaque call conflicts with every access
+        # except in read-read pairs.
         alias = aa.alias
-        for a_pos in range(len(mem_ops)):
-            i, inst_i, writes_i, loc_i = mem_ops[a_pos]
-            for b_pos in range(a_pos + 1, len(mem_ops)):
-                j, inst_j, writes_j, loc_j = mem_ops[b_pos]
-                if not (writes_i or writes_j):
-                    continue  # read-read never conflicts
-                if loc_i is None or loc_j is None:
-                    # A call with unknown effects conflicts with
-                    # everything except the read-read pairs above.
-                    self.edges[j].add(i)
-                elif alias(*loc_i, *loc_j) is not AliasResult.NO:
-                    self.edges[j].add(i)
+        accesses: List[int] = []  # every earlier access
+        writes_any: List[int] = []  # every earlier access that writes
+        calls: List[int] = []  # earlier opaque calls
+        calls_writing: List[int] = []  # ... of those, the writers
+        objects: Dict[int, _Object] = {}
+        for j, inst in enumerate(insts):
+            reads, writes = _access_kind(inst)
+            if not (reads or writes):
+                continue
+            deps = self.edges[j]
+            loc = self._location(inst, layout)
+            if loc is None:
+                deps.update(accesses if writes else writes_any)
+                calls.append(j)
+                if writes:
+                    calls_writing.append(j)
+            else:
+                pointer, size = loc
+                base = aa.base_of(pointer)
+                obj = objects.get(id(base))
+                if obj is None:
+                    obj = objects[id(base)] = _Object(base)
+                    for other in objects.values():
+                        if other is not obj and (
+                            aa.objects_alias(base, other.base)
+                            is not AliasResult.NO
+                        ):
+                            obj.overlapping.append(other)
+                            other.overlapping.append(obj)
+                deps.update(calls if writes else calls_writing)
+                for other in obj.overlapping:
+                    deps.update(other.accesses if writes else other.writes)
+                for i, ptr_i, size_i, writes_i in obj.located:
+                    if (writes or writes_i) and alias(
+                        ptr_i, size_i, pointer, size
+                    ) is not AliasResult.NO:
+                        deps.add(i)
+                obj.located.append((j, pointer, size, writes))
+                obj.accesses.append(j)
+                if writes:
+                    obj.writes.append(j)
+            accesses.append(j)
+            if writes:
+                writes_any.append(j)
 
     @staticmethod
     def _location(inst: Instruction, layout: DataLayout):

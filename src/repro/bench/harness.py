@@ -298,8 +298,8 @@ def run_tsvc_experiment(
 
     Each unrolled kernel is printed to IR text and handed to the
     parallel driver, whose workers measure the base size and run the
-    reroll baseline and RoLAG on independent fresh parses -- exactly the
-    three-module protocol the serial harness used.  ``jobs`` and
+    reroll baseline and RoLAG each on the unmodified input (one parse,
+    restored from a snapshot between the two passes).  ``jobs`` and
     ``cache_dir`` behave as in :func:`run_angha_experiment`.
 
     ``evaluator`` picks the backend for the dynamic-step measurements

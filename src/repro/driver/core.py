@@ -77,6 +77,7 @@ from ..ir import (
     verify_module,
 )
 from ..ir.module import Module
+from ..ir.snapshot import ModuleSnapshot
 from ..ir.structhash import StructuralSummary, compose_witness_renames
 from ..rolag import RolagConfig, RolagStats, roll_loops_in_module
 from ..transforms.reroll import reroll_loops
@@ -93,11 +94,12 @@ def default_worker_count() -> int:
     return max(1, min(os.cpu_count() or 1, MAX_DEFAULT_WORKERS))
 
 
-def _load_module(job: FunctionJob) -> Module:
+def _load_module(job: FunctionJob, verify: bool = True) -> Module:
     """Materialize the job's module in this process."""
     if job.ir_text is not None:
         module = parse_module(job.ir_text)
-        verify_module(module)
+        if verify:
+            verify_module(module)
         return module
     return compile_c(job.c_source, module_name=f"driver.{job.name}")
 
@@ -126,12 +128,21 @@ def optimize_one(
 ) -> FunctionResult:
     """The per-function pipeline one worker runs for one job.
 
+    The input is loaded (parsed and verified) once.  The reroll
+    baseline runs on it in place; a :class:`ModuleSnapshot` taken
+    before then restores the functions the baseline changed, and RoLAG
+    runs on that same module.  Each pass's output is verified once,
+    and sized only if the pass changed the module: the cost model is a
+    pure function of the IR, so an unchanged module keeps
+    ``size_before``.
+
     With ``check_semantics`` set, both transformed modules are
-    differentially tested against a fresh copy of the input via the
-    :mod:`repro.difftest` oracle (executed by ``evaluator``); the
-    verdict and any mismatch details travel back (and into the cache)
-    on the result.  Oracle time lands in the stats' ``eval`` phase so
-    timed runs show evaluation next to the rolling phases.
+    differentially tested against a pristine second load of the input
+    via the :mod:`repro.difftest` oracle (executed by ``evaluator``) --
+    the baseline's output before the restore, RoLAG's after its run;
+    the verdict and any mismatch details travel back (and into the
+    cache) on the result.  Oracle time lands in the stats' ``eval``
+    phase so timed runs show evaluation next to the rolling phases.
 
     With ``config.validate`` on, both the reroll baseline and every
     RoLAG rolling decision run transactionally through the online
@@ -146,13 +157,14 @@ def optimize_one(
     config = config or RolagConfig()
     start = perf_counter()
     parse_seconds = 0.0
+    eval_seconds = 0.0
 
-    def load() -> Module:
+    def load(verify: bool = True) -> Module:
         # Parse/verify wall time books under the stats' ``parse`` phase
         # so timed runs attribute the Amdahl floor directly.
         nonlocal parse_seconds
         parse_start = perf_counter()
-        loaded = _load_module(job)
+        loaded = _load_module(job, verify)
         parse_seconds += perf_counter() - parse_start
         return loaded
 
@@ -162,13 +174,35 @@ def optimize_one(
     # and the cache entry stays meaningful.
     vector_seed = zlib.crc32(job.text.encode("utf-8")) & 0x7FFFFFFF
     guard_reports: List[Dict[str, object]] = []
+    semantics_mismatches: List[str] = []
+    original: Optional[Module] = None
 
-    # Baseline: LLVM-style rerolling on its own fresh copy.  With
-    # validation on, reroll runs as a transaction through the gate;
-    # with it off, the historical direct path is kept bit-for-bit
-    # (including fault-site hit counts).
-    llvm_module = load()
+    def check(label: str, candidate: Module) -> None:
+        # Compares against a pristine second load of the input; the
+        # text was verified above, so it is parsed but not re-verified.
+        nonlocal original, eval_seconds
+        if original is None:
+            original = load(verify=False)
+        eval_start = perf_counter()
+        ok, details = check_module_semantics(
+            original, candidate, seed=vector_seed, evaluator=evaluator
+        )
+        if not ok:
+            semantics_mismatches.extend(
+                f"{label}: {detail}" for detail in details
+            )
+        eval_seconds += perf_counter() - eval_start
+        checkpoint("eval")
+
+    module = load()
+    size_before = _measure(module, job.name, measure_model)
     checkpoint("load")
+    snapshot = ModuleSnapshot(module)
+
+    # Baseline: LLVM-style rerolling, in place.  With validation on,
+    # reroll runs as a transaction through the gate; with it off, the
+    # historical direct path is kept bit-for-bit (including fault-site
+    # hit counts).
     if validate != "off":
         from ..transforms.txn import TransactionalPassManager
 
@@ -177,23 +211,28 @@ def optimize_one(
             verify=False, validator=llvm_validator
         )
         reroll_pm.add("reroll", reroll_loops)
-        llvm_rolled = reroll_pm.run(llvm_module)
+        llvm_rolled = reroll_pm.run(module)
         guard_reports.extend(
             report.to_json_dict() for report in llvm_validator.reports
         )
     else:
         llvm_rolled = sum(
-            reroll_loops(f)
-            for f in llvm_module.functions
-            if not f.is_declaration
+            reroll_loops(f) for f in module.functions if not f.is_declaration
         )
-    verify_module(llvm_module)
-    llvm_size = _measure(llvm_module, job.name, measure_model)
+    verify_module(module)
+    baseline_changed = llvm_rolled > 0 or snapshot.changed()
+    llvm_size = (
+        _measure(module, job.name, measure_model)
+        if baseline_changed
+        else size_before
+    )
     checkpoint("reroll")
+    if check_semantics:
+        check("reroll", module)
+    if baseline_changed:
+        snapshot.restore()
 
-    # RoLAG on another fresh copy, measured before and after.
-    module = load()
-    size_before = _measure(module, job.name, measure_model)
+    # RoLAG on the restored input, measured after.
     stats = RolagStats(timed=timed)
     fire("driver.worker.roll")
     rolag_validator = (
@@ -204,26 +243,19 @@ def optimize_one(
     )
     guard_reports.extend(stats.guard_reports)
     verify_module(module)
-    rolag_size = _measure(module, job.name, measure_model)
+    rolag_size = (
+        _measure(module, job.name, measure_model)
+        if rolag_rolled > 0 or snapshot.changed()
+        else size_before
+    )
     checkpoint("rolag")
 
     semantics_ok: Optional[bool] = None
-    semantics_mismatches: List[str] = []
     if check_semantics:
-        original = load()
-        eval_start = perf_counter()
-        for label, candidate in (("reroll", llvm_module), ("rolag", module)):
-            ok, details = check_module_semantics(
-                original, candidate, seed=vector_seed, evaluator=evaluator
-            )
-            if not ok:
-                semantics_mismatches.extend(
-                    f"{label}: {detail}" for detail in details
-                )
-            checkpoint("eval")
+        check("rolag", module)
         semantics_ok = not semantics_mismatches
         if timed:
-            stats.add_phase_time("eval", perf_counter() - eval_start)
+            stats.add_phase_time("eval", eval_seconds)
 
     if timed:
         stats.add_phase_time("parse", parse_seconds)
@@ -1322,11 +1354,13 @@ class DriverSession:
 
     # -- pool event loop ----------------------------------------------------
 
-    def _spawn_executor(self, want: int):
+    def _spawn_executor(self):
         from concurrent.futures import ProcessPoolExecutor
 
+        # Sized to ``workers``, not to the queue: the pool outlives the
+        # jobs queued when it spawns, and a daemon submits one at a time.
         return ProcessPoolExecutor(
-            max_workers=min(self.workers, max(1, want)),
+            max_workers=self.workers,
             initializer=_init_worker,
             initargs=(
                 self.config, self._measure_model, self._timed,
@@ -1437,7 +1471,7 @@ class DriverSession:
                     "respawn(s); job abandoned (serial_fallback off)"
                 )
                 return len(self._ready) - before
-            self._executor = self._spawn_executor(len(self._queue))
+            self._executor = self._spawn_executor()
 
         if self._queue and self._executor is not None:
             waiting: deque = deque()

@@ -99,7 +99,7 @@ from .values import (
     neutral_element,
     zero_constant_for,
 )
-from .snapshot import FunctionSnapshot
+from .snapshot import FunctionSnapshot, ModuleSnapshot
 from .verifier import (
     VerificationError,
     verify_blocks,
@@ -115,7 +115,7 @@ __all__ = [
     "ConstantInt", "ConstantNull", "ConstantZero", "DataLayout",
     "DEFAULT_LAYOUT", "EVALUATOR_CHOICES", "F32", "F64", "FCmp",
     "FloatType", "Function",
-    "FunctionSnapshot",
+    "FunctionSnapshot", "ModuleSnapshot",
     "FunctionType", "GetElementPtr", "GlobalVariable", "I1", "I16", "I32",
     "I64", "I8", "ICmp", "IRBuilder", "Instruction", "IntType", "LABEL",
     "Load", "Machine", "Module", "ParseError", "Phi", "PointerType", "Ret",

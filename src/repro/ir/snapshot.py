@@ -21,7 +21,9 @@ in-tree pass already works this way.
 
 Module-level state is covered too: passes may append globals (RoLAG
 emits ``__rolag*`` mismatch tables); restore removes globals that did
-not exist at capture and rewinds the fresh-name counters.
+not exist at capture and rewinds the fresh-name counters.  A
+:class:`ModuleSnapshot` covers every defined function of a module at
+once, so one parsed module can serve several independent passes.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ _BlockEntry = Tuple[BasicBlock, str, List[_InstEntry]]
 class FunctionSnapshot:
     """The rollback point of one transaction over one function."""
 
-    def __init__(self, fn: Function) -> None:
+    def __init__(self, fn: Function, *, with_module: bool = True) -> None:
         self.fn = fn
         self.next_temp = fn._next_temp
         self.blocks: List[_BlockEntry] = [
@@ -57,14 +59,11 @@ class FunctionSnapshot:
             for block in fn.blocks
         ]
         self.module: Optional[Module] = fn.module
-        if self.module is not None:
-            self.global_ids = frozenset(id(g) for g in self.module.globals)
-            self.global_count = len(self.module.globals)
-            self.next_global = self.module._next_global
-        else:
-            self.global_ids = frozenset()
-            self.global_count = 0
-            self.next_global = 0
+        self.module_state = (
+            _ModuleState(self.module)
+            if self.module is not None and with_module
+            else None
+        )
 
     # -- inspection --------------------------------------------------------
 
@@ -108,14 +107,15 @@ class FunctionSnapshot:
 
     def changed(self) -> bool:
         """Whether the function (or its module's globals) was mutated."""
+        if self.module_state is not None and self.module_state.changed():
+            return True
+        return self.body_changed()
+
+    def body_changed(self) -> bool:
+        """Whether the function's own blocks or instructions changed."""
         if [id(b) for b in self.fn.blocks] != [
             id(b) for b, _, _ in self.blocks
         ]:
-            return True
-        if (
-            self.module is not None
-            and len(self.module.globals) != self.global_count
-        ):
             return True
         return bool(self.touched_blocks())
 
@@ -130,6 +130,15 @@ class FunctionSnapshot:
         consistently.  Calling restore on an unchanged function is a
         (wasteful) no-op.
         """
+        self.restore_body()
+        # Remove globals the pass added (RoLAG mismatch tables and the
+        # like) and rewind the module's fresh-name counter.
+        if self.module_state is not None:
+            self.module_state.restore()
+
+    def restore_body(self) -> None:
+        """:meth:`restore` for the function alone, leaving the module's
+        globals and fresh-name counter as they are."""
         fn = self.fn
         # Phase 1: drop every operand reference held by an instruction
         # that exists now or existed at capture, so the rebuild below
@@ -159,10 +168,72 @@ class FunctionSnapshot:
                 for operand in operands:
                     inst.add_operand(operand)
         fn._next_temp = self.next_temp
-        # Phase 3: remove globals the pass added (RoLAG mismatch tables
-        # and the like) and rewind the module's fresh-name counter.
-        if self.module is not None:
-            self.module.globals = [
-                g for g in self.module.globals if id(g) in self.global_ids
-            ]
-            self.module._next_global = self.next_global
+
+
+class _ModuleState:
+    """A module's global list and global fresh-name counter."""
+
+    def __init__(self, module: Module) -> None:
+        self.module = module
+        self.global_ids = frozenset(id(g) for g in module.globals)
+        self.global_count = len(module.globals)
+        self.next_global = module._next_global
+
+    def changed(self) -> bool:
+        return len(self.module.globals) != self.global_count
+
+    def restore(self) -> None:
+        self.module.globals = [
+            g for g in self.module.globals if id(g) in self.global_ids
+        ]
+        self.module._next_global = self.next_global
+
+
+class ModuleSnapshot:
+    """A restore point for a whole module: one :class:`FunctionSnapshot`
+    per defined function plus the module's global state.
+
+    Lets one parsed module serve several independent passes in turn:
+    run a pass in place, then :meth:`restore` puts back only the
+    functions it changed, and the globals once, instead of parsing the
+    input again.
+    """
+
+    def __init__(self, module: Module) -> None:
+        self.module_state = _ModuleState(module)
+        self.functions = [
+            FunctionSnapshot(fn, with_module=False)
+            for fn in module.functions
+            if not fn.is_declaration
+        ]
+
+    def changed_functions(self) -> List[FunctionSnapshot]:
+        """Snapshots of the functions mutated or renamed since capture.
+
+        A moved fresh-name counter counts as a change even when the
+        body matches: restoring rewinds it, so later fresh names come
+        out as they would on a fresh copy.
+        """
+        return [
+            snapshot
+            for snapshot in self.functions
+            if snapshot.fn._next_temp != snapshot.next_temp
+            or snapshot.body_changed()
+        ]
+
+    def changed(self) -> bool:
+        """Whether any function, the module's globals or its global
+        fresh-name counter changed."""
+        state = self.module_state
+        return (
+            state.changed()
+            or state.module._next_global != state.next_global
+            or bool(self.changed_functions())
+        )
+
+    def restore(self) -> None:
+        """Put the module back as captured: each changed function, then
+        the module's globals and fresh-name counter once."""
+        for snapshot in self.changed_functions():
+            snapshot.restore_body()
+        self.module_state.restore()

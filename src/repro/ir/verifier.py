@@ -58,6 +58,12 @@ _FLOAT_ONLY_OPCODES = frozenset({"fadd", "fsub", "fmul", "fdiv", "frem"})
 _SHIFT_OPCODES = frozenset({"shl", "lshr", "ashr"})
 
 
+#: Use lists up to this long are scanned for a use record directly;
+#: longer ones (interned constants shared module-wide) are folded into
+#: an identity set once per verifier call.
+_SCAN_USES = 16
+
+
 class VerificationError(Exception):
     """Raised when the IR violates a structural invariant."""
 
@@ -105,15 +111,34 @@ def _check_blocks(
     errors: List[str],
     full: bool,
 ) -> None:
-    blocks = list(blocks)
+    # One pass over the blocks; each block runs every check in turn:
+    # structure, then per operand its use record and dominance, then
+    # types, phi/predecessor agreement and the return type.
+    from ..analysis.domtree import DominatorTree
 
+    domtree = DominatorTree(fn)
+    # Identity sets of long use lists, built once per distinct value:
+    # interned constants are shared module-wide, so scanning their use
+    # lists per referencing operand would be quadratic.
+    use_ids: Dict[int, set] = {}
     for block in blocks:
         if block.parent is not fn:
             errors.append(f"block %{block.name} has wrong parent")
         if block.terminator is None:
             errors.append(f"block %{block.name} lacks a terminator")
+        insts = block.instructions
+        reachable = domtree.is_reachable(block)
+        # Same-block dominance reads one position map per block (first
+        # occurrence wins, as with ``list.index``); the rest, and
+        # operands missing from their claimed parent block, ask the
+        # dominator tree.
+        position = (
+            {id(insts[p]): p for p in range(len(insts) - 1, -1, -1)}
+            if reachable
+            else None
+        )
         seen_non_phi = False
-        for inst in block.instructions:
+        for inst in insts:
             if inst.parent is not block:
                 errors.append(f"instruction {inst!r} has wrong parent block")
             if isinstance(inst, Phi):
@@ -123,120 +148,128 @@ def _check_blocks(
                     )
             else:
                 seen_non_phi = True
-            if inst.is_terminator and inst is not block.instructions[-1]:
+            if inst.is_terminator and inst is not insts[-1]:
                 errors.append(f"terminator mid-block in %{block.name}")
+            _check_operands(
+                inst, block, domtree, position, use_ids, errors
+            )
+            try:
+                _check_types(inst, errors)
+            except (ValueError, IndexError) as error:
+                # A wrong operand count breaks the per-opcode unpacking.
+                errors.append(f"malformed operands in {inst!r}: {error}")
+        if reachable:
+            _check_phis(block, errors)
+        _check_return(fn, block, errors)
 
-    # Use-def chain consistency.  Each distinct operand value's use
-    # list is folded into a set once and memoized: interned constants
-    # are shared module-wide, so scanning their (long) use lists per
-    # referencing operand would be quadratic.
-    use_sets: Dict[int, set] = {}
-    for block in blocks:
-        for inst in block.instructions:
-            inst_id = id(inst)
-            for index, op in enumerate(inst.operands):
-                key = id(op)
-                pairs = use_sets.get(key)
-                if pairs is None:
-                    pairs = {(id(u.user), u.index) for u in op.uses}
-                    use_sets[key] = pairs
-                if (inst_id, index) not in pairs:
-                    errors.append(
-                        f"operand {index} of {inst!r} missing from use list"
-                    )
 
-    # Phi incoming edges match predecessors: every reachable
-    # predecessor contributes exactly one incoming value, and no
-    # incoming names a non-predecessor.
-    from ..analysis.domtree import DominatorTree
+def _check_operands(
+    inst: Instruction,
+    block: BasicBlock,
+    domtree,
+    position,
+    use_ids: Dict[int, set],
+    errors: List[str],
+) -> None:
+    """Use-def consistency and SSA dominance of ``inst``'s operands.
 
-    domtree = DominatorTree(fn)
-    for block in blocks:
-        if not domtree.is_reachable(block):
+    Operand ``index`` is consistent when ``inst._use_links[index]``
+    names ``inst`` and ``index`` and sits in the operand's use list.
+    Non-phi operands must be defined in a dominating position; phi uses
+    are checked at the end of the corresponding incoming block by
+    ``dominates``.  ``position`` is None in unreachable blocks, which
+    skip the dominance check.
+    """
+    operands = inst.operands
+    links = inst._use_links
+    if len(links) != len(operands):
+        errors.append(
+            f"{inst!r} has {len(operands)} operands but {len(links)} "
+            "use records"
+        )
+    local = inst.parent is block and not isinstance(inst, Phi)
+    for index, op in enumerate(operands):
+        key = id(op)
+        link = links[index] if index < len(links) else None
+        if link is None or link.user is not inst or link.index != index:
+            present = False
+        else:
+            uses = op.uses
+            if len(uses) <= _SCAN_USES:
+                # ``Use`` has no ``__eq__``: ``in`` is an identity scan.
+                present = link in uses
+            else:
+                ids = use_ids.get(key)
+                if ids is None:
+                    ids = use_ids[key] = {id(use) for use in uses}
+                present = id(link) in ids
+        if not present:
+            errors.append(f"operand {index} of {inst!r} missing from use list")
+        if position is None or not isinstance(op, Instruction):
             continue
-        preds = block.predecessors()
-        for phi in block.phis():
-            incoming_blocks = [b for _, b in phi.incoming]
-            for pred in preds:
-                count = sum(1 for b in incoming_blocks if b is pred)
-                if count == 0:
-                    errors.append(
-                        f"phi {phi.short_name()} in %{block.name} missing "
-                        f"incoming for %{pred.name}"
-                    )
-                elif count > 1:
-                    errors.append(
-                        f"phi {phi.short_name()} in %{block.name} has "
-                        f"{count} incoming values for %{pred.name} "
-                        "(expected exactly one)"
-                    )
-            for b in incoming_blocks:
-                if b not in preds:
-                    errors.append(
-                        f"phi {phi.short_name()} in %{block.name} has spurious "
-                        f"incoming %{b.name}"
-                    )
-
-    # SSA dominance: every non-phi instruction operand must be defined
-    # in a dominating position (phi uses are checked at the end of the
-    # corresponding incoming block by ``dominates``).  Same-block uses
-    # read one position map per block (first occurrence wins, as with
-    # ``list.index``); the rest, and operands missing from their
-    # claimed parent block, ask the dominator tree.
-    for block in blocks:
-        if not domtree.is_reachable(block):
+        if op.parent is None:
+            errors.append(f"{inst!r} uses detached instruction {op!r}")
             continue
-        insts = block.instructions
-        position = {id(insts[p]): p for p in range(len(insts) - 1, -1, -1)}
-        for inst in insts:
-            local = inst.parent is block and not isinstance(inst, Phi)
-            for op in inst.operands:
-                if not isinstance(op, Instruction):
-                    continue
-                if op.parent is None:
-                    errors.append(
-                        f"{inst!r} uses detached instruction {op!r}"
-                    )
-                    continue
-                if local and op.parent is block and id(op) in position:
-                    dominated = position[id(op)] < position[id(inst)]
-                else:
-                    try:
-                        dominated = domtree.dominates(op, inst)
-                    except Exception as error:
-                        # Lying parent pointers make the dominance
-                        # query itself blow up; that is corruption, not
-                        # a verifier crash.
-                        errors.append(
-                            f"dominance query failed for {op.short_name()} "
-                            f"used in {inst!r}: {type(error).__name__}: "
-                            f"{error}"
-                        )
-                        continue
-                if not dominated:
-                    errors.append(
-                        f"{op.short_name()} does not dominate its use in "
-                        f"{inst!r} (block %{block.name})"
-                    )
-
-    # Basic type sanity.
-    for block in blocks:
-        for inst in block.instructions:
-            _check_types(inst, errors)
-
-    # Return types.
-    for block in blocks:
-        term = block.terminator
-        if isinstance(term, Ret):
-            if fn.return_type.is_void:
-                if term.return_value is not None:
-                    errors.append("ret with value in void function")
-            elif term.return_value is None:
-                errors.append("ret void in non-void function")
-            elif term.return_value.type is not fn.return_type:
+        if local and op.parent is block and key in position:
+            dominated = position[key] < position[id(inst)]
+        else:
+            try:
+                dominated = domtree.dominates(op, inst)
+            except Exception as error:
+                # Lying parent pointers make the dominance query itself
+                # blow up; that is corruption, not a verifier crash.
                 errors.append(
-                    f"ret type {term.return_value.type} != {fn.return_type}"
+                    f"dominance query failed for {op.short_name()} "
+                    f"used in {inst!r}: {type(error).__name__}: {error}"
                 )
+                continue
+        if not dominated:
+            errors.append(
+                f"{op.short_name()} does not dominate its use in "
+                f"{inst!r} (block %{block.name})"
+            )
+
+
+def _check_phis(block: BasicBlock, errors: List[str]) -> None:
+    """Phi incoming edges match predecessors: every reachable
+    predecessor contributes exactly one incoming value, and no incoming
+    names a non-predecessor."""
+    preds = block.predecessors()
+    for phi in block.phis():
+        incoming_blocks = [b for _, b in phi.incoming]
+        for pred in preds:
+            count = sum(1 for b in incoming_blocks if b is pred)
+            if count == 0:
+                errors.append(
+                    f"phi {phi.short_name()} in %{block.name} missing "
+                    f"incoming for %{pred.name}"
+                )
+            elif count > 1:
+                errors.append(
+                    f"phi {phi.short_name()} in %{block.name} has "
+                    f"{count} incoming values for %{pred.name} "
+                    "(expected exactly one)"
+                )
+        for b in incoming_blocks:
+            if b not in preds:
+                errors.append(
+                    f"phi {phi.short_name()} in %{block.name} has spurious "
+                    f"incoming %{b.name}"
+                )
+
+
+def _check_return(fn: Function, block: BasicBlock, errors: List[str]) -> None:
+    term = block.terminator
+    if isinstance(term, Ret):
+        if fn.return_type.is_void:
+            if term.return_value is not None:
+                errors.append("ret with value in void function")
+        elif term.return_value is None:
+            errors.append("ret void in non-void function")
+        elif term.return_value.type is not fn.return_type:
+            errors.append(
+                f"ret type {term.return_value.type} != {fn.return_type}"
+            )
 
 
 def _check_types(inst: Instruction, errors: List[str]) -> None:

@@ -6,6 +6,7 @@ import struct
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.ir import (
+    DEFAULT_LAYOUT,
     F32,
     F64,
     FloatType,
@@ -192,3 +193,40 @@ def respects(dg, new_order) -> bool:
             if pi is not None and pi >= pj:
                 return False
     return True
+
+
+def pairwise_dependence_edges(dg, aa, layout=DEFAULT_LAYOUT) -> List[set]:
+    """Every edge of ``dg``'s block, rebuilt by asking the alias
+    analysis about each pair of memory accesses in turn.
+
+    The reference the per-object-pair build of ``DependenceGraph`` is
+    tested against: SSA def-use edges, plus an edge between two
+    accesses unless both only read or the alias analysis proves them
+    disjoint; an opaque call conflicts with every access except in
+    read-read pairs.
+    """
+    from repro.analysis.deps import _access_kind
+    from repro.analysis.alias import AliasResult
+
+    insts = dg.instructions
+    position = {id(inst): i for i, inst in enumerate(insts)}
+    edges = [set() for _ in insts]
+    for j, inst in enumerate(insts):
+        for op in inst.operands:
+            i = position.get(id(op))
+            if i is not None and i < j:
+                edges[j].add(i)
+    mem_ops = []
+    for i, inst in enumerate(insts):
+        reads, writes = _access_kind(inst)
+        if reads or writes:
+            mem_ops.append((i, writes, dg._location(inst, layout)))
+    for a_pos, (i, writes_i, loc_i) in enumerate(mem_ops):
+        for j, writes_j, loc_j in mem_ops[a_pos + 1:]:
+            if not (writes_i or writes_j):
+                continue
+            if loc_i is None or loc_j is None:
+                edges[j].add(i)
+            elif aa.alias(*loc_i, *loc_j) is not AliasResult.NO:
+                edges[j].add(i)
+    return edges

@@ -15,7 +15,11 @@ from repro.analysis import (
     underlying_object,
 )
 from repro.ir import parse_module, parse_function
-from tests.helpers import respects, transitive_predecessors
+from tests.helpers import (
+    pairwise_dependence_edges,
+    respects,
+    transitive_predecessors,
+)
 
 
 DIAMOND = """
@@ -384,6 +388,69 @@ entry:
         assert preds == {0, 1}
         assert dg.ancestors[2] == 0b11
         assert dg.descendants[0] == 0b1110
+
+
+def _assert_edges_match_pairwise(module):
+    for fn in module.functions:
+        if fn.is_declaration:
+            continue
+        aa = AliasAnalysis(fn)
+        for block in fn.blocks:
+            dg = DependenceGraph(block, aa)
+            assert dg.edges == pairwise_dependence_edges(dg, aa), (
+                f"@{fn.name} %{block.name}"
+            )
+
+
+class TestDependenceBuildMatchesPairwise:
+    """The per-object-pair build yields exactly the pairwise edge sets."""
+
+    def test_mixed_objects(self):
+        m = parse_module(
+            """
+@g = global [4 x i32] zeroinitializer
+@h = global i32 0
+declare void @opaque()
+declare i32 @peek(i32*) readonly
+
+define void @f(i32* %p, i32* %q) {
+entry:
+  %a = alloca [4 x i32]
+  %b = alloca i32
+  %a0 = getelementptr [4 x i32], [4 x i32]* %a, i64 0, i64 0
+  %a1 = getelementptr [4 x i32], [4 x i32]* %a, i64 0, i64 1
+  %g1 = getelementptr [4 x i32], [4 x i32]* @g, i64 0, i64 1
+  store i32 1, i32* %a0
+  %v = load i32, i32* %p
+  store i32 %v, i32* %a1
+  store i32 2, i32* %g1
+  %w = load i32, i32* @h
+  store i32 %w, i32* %q
+  %x = call i32 @peek(i32* %b)
+  store i32 %x, i32* %b
+  call void @opaque()
+  %y = load i32, i32* %a0
+  store i32 %y, i32* %p
+  ret void
+}
+"""
+        )
+        _assert_edges_match_pairwise(m)
+
+    def test_angha_corpus(self):
+        from repro.bench.structcache import corpus_jobs
+
+        for job in corpus_jobs(60, seed=7):
+            _assert_edges_match_pairwise(parse_module(job.ir_text))
+
+    @pytest.mark.parametrize("factor", [4, 8, 16])
+    def test_unrolled_tsvc(self, factor):
+        from repro.bench import tsvc
+
+        for name in tsvc.kernel_names():
+            _assert_edges_match_pairwise(
+                tsvc.build_unrolled_kernel(name, factor)
+            )
 
 
 class TestLoopInfo:

@@ -67,6 +67,108 @@ class TestSerialDriver:
         parse_module(result.optimized_ir)
 
 
+def _tsvc_job(name="s000", factor=4):
+    # The baseline and RoLAG both roll this kernel, so the baseline
+    # changes the shared module and the restore path runs.
+    from repro.bench import tsvc
+
+    return FunctionJob(
+        name=name,
+        ir_text=print_module(tsvc.build_unrolled_kernel(name, factor)),
+    )
+
+
+def _miscompile(fn):
+    """Store zero instead of the first stored value: a wrong output."""
+    from repro.ir import Store, zero_constant_for
+
+    for inst in fn.instructions():
+        if isinstance(inst, Store):
+            inst.set_operand(0, zero_constant_for(inst.value.type))
+            return
+
+
+class TestOneLoadPerJob:
+    """``optimize_one`` runs the baseline and RoLAG on one loaded module,
+    restoring the input between them."""
+
+    def _miscompiling_baseline(self, monkeypatch):
+        import repro.driver.core as core
+
+        real = core.reroll_loops
+
+        def reroll_then_miscompile(fn):
+            rolled = real(fn)
+            _miscompile(fn)
+            return rolled
+
+        monkeypatch.setattr(core, "reroll_loops", reroll_then_miscompile)
+
+    def test_semantic_check_examines_the_baseline(self, monkeypatch):
+        job = _tsvc_job()
+        clean = optimize_one(job, check_semantics=True)
+        assert clean.semantics_ok
+        self._miscompiling_baseline(monkeypatch)
+        faulted = optimize_one(job, check_semantics=True)
+        assert faulted.semantics_ok is False
+        assert faulted.semantics_mismatches
+        assert all(
+            m.startswith("reroll: ") for m in faulted.semantics_mismatches
+        )
+
+    def test_rolag_runs_on_the_true_input(self, monkeypatch):
+        job = _tsvc_job()
+        clean = optimize_one(job)
+        assert clean.llvm_rolled > 0 and clean.rolag_rolled > 0
+        self._miscompiling_baseline(monkeypatch)
+        faulted = optimize_one(job)
+        assert faulted.size_before == clean.size_before
+        assert faulted.optimized_ir == clean.optimized_ir
+        assert faulted.rolag_size == clean.rolag_size
+        assert faulted.rolag_rolled == clean.rolag_rolled
+        assert faulted.attempted == clean.attempted
+
+    def test_gated_baseline_corruption_does_not_reach_rolag(self, tmp_path):
+        from repro.faultinject import FaultPlan, active_plan
+
+        job = _tsvc_job()
+        config = RolagConfig(validate="safe", guard_dir=str(tmp_path))
+        clean = optimize_one(job, config)
+        plan = FaultPlan.parse("pipeline.pass.exit:corrupt-irx*;seed=3")
+        with active_plan(plan):
+            faulted = optimize_one(job, config)
+        assert plan.hits.get("pipeline.pass.exit", 0) > 0
+        assert faulted.optimized_ir == clean.optimized_ir
+        assert faulted.rolag_size == clean.rolag_size
+        assert faulted.rolag_rolled == clean.rolag_rolled
+        assert faulted.size_before == clean.size_before
+
+    @pytest.mark.parametrize("check_semantics, parses", [(False, 1), (True, 2)])
+    def test_parse_and_verify_counts(
+        self, monkeypatch, check_semantics, parses
+    ):
+        import repro.driver.core as core
+
+        calls = {"parse": 0, "verify": 0}
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            core, "parse_module", counted("parse", core.parse_module)
+        )
+        monkeypatch.setattr(
+            core, "verify_module", counted("verify", core.verify_module)
+        )
+        result = optimize_one(_tsvc_job(), check_semantics=check_semantics)
+        assert result.llvm_rolled > 0 and result.rolag_rolled > 0
+        assert calls == {"parse": parses, "verify": 3}
+
+
 class TestResultCache:
     def test_warm_run_is_byte_identical(self, tmp_path):
         jobs = _corpus_jobs(count=8)
@@ -266,6 +368,36 @@ class TestParallelIdentity:
         assert [r.stable_dict() for r in warm.results] == [
             r.stable_dict() for r in pooled.results
         ]
+
+
+@pytest.mark.parallel
+class TestSessionPool:
+    def test_pool_sized_to_workers_after_one_job_spawn(self, monkeypatch):
+        # A daemon submits one job at a time, so the pool's first spawn
+        # sees a one-job queue; it must still run ``workers`` processes.
+        # Workers fork after the patch, so they inherit it.
+        import time
+
+        import repro.driver.core as core
+        from repro.driver import DriverSession
+
+        real = core.optimize_one
+
+        def slow_and_stamped(job, *args):
+            time.sleep(0.3)
+            result = real(job, *args)
+            result.metadata["pid"] = os.getpid()
+            return result
+
+        monkeypatch.setattr(core, "optimize_one", slow_and_stamped)
+        jobs = _corpus_jobs(count=3)
+        with DriverSession(workers=2, use_cache=False, dedupe=False) as session:
+            session.submit(jobs[0])
+            session.drain()
+            tickets = [session.submit(job) for job in jobs[1:]]
+            resolved = dict(session.drain())
+        pids = {resolved[t].metadata["pid"] for t in tickets}
+        assert len(pids) == 2
 
 
 def test_cold_import_of_driver_package():

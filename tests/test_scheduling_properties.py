@@ -2,15 +2,21 @@
 
 The analysis checks only the dependence edges that can break once a
 block is split into before / loop / after.  Here random blocks of
-loads, stores, arithmetic and calls over a few pointer arguments, with
-random claimed sets spread over random lanes, are judged both by it and
-by a full replay of every edge against ``before + loop + after +
-terminator``; verdicts and partitions must agree.
+loads, stores, arithmetic and calls over a few pointer arguments (and
+optionally a local and a global array), with random claimed sets
+spread over random lanes, are judged both by it and by a full replay
+of every edge against ``before + loop + after + terminator``; verdicts
+and partitions must agree.  The graph's edges themselves must equal a
+pairwise rebuild that asks the alias analysis about every access pair.
 """
 
 from hypothesis import event, given, settings, strategies as st
 
-from tests.helpers import respects, transitive_predecessors
+from tests.helpers import (
+    pairwise_dependence_edges,
+    respects,
+    transitive_predecessors,
+)
 
 from repro.analysis import AliasAnalysis, DependenceGraph
 from repro.ir import parse_module
@@ -18,6 +24,7 @@ from repro.ir.instructions import Phi
 from repro.rolag.scheduling import schedule_lanes
 
 _HEADER = """
+@gv = global [4 x i32] zeroinitializer
 declare void @opaque()
 declare i32 @peek(i32*) readonly
 declare i32 @pure(i32) readnone
@@ -29,6 +36,20 @@ def blocks(draw):
     """IR text of a function whose ``body`` block is the one under test."""
     n_ptrs = draw(st.integers(1, 3))
     ptrs = [f"%p{i}" for i in range(n_ptrs)]
+    # Identified objects too, so some object pairs are provably
+    # disjoint: a local array and a global one, addressed from entry.
+    entry = []
+    if draw(st.booleans()):
+        entry += [
+            "%loc = alloca [4 x i32]",
+            "%l0 = getelementptr [4 x i32], [4 x i32]* %loc, i64 0, i64 0",
+        ]
+        ptrs.append("%l0")
+    if draw(st.booleans()):
+        entry.append(
+            "%g0 = getelementptr [4 x i32], [4 x i32]* @gv, i64 0, i64 0"
+        )
+        ptrs.append("%g0")
     values = ["%x"]
     lines = []
     for k in range(draw(st.integers(0, 2))):
@@ -71,11 +92,13 @@ def blocks(draw):
         else:
             lines.append(f"%v{n} = call i32 @pure(i32 {operand()})")
         values.append(f"%v{n}")
-    params = ", ".join(f"i32* {p}" for p in ptrs)
+    params = ", ".join(f"i32* %p{i}" for i in range(n_ptrs))
     body = "\n  ".join(lines)
+    setup = "".join(f"  {line}\n" for line in entry)
     return (
         f"{_HEADER}\ndefine void @f({params}, i32 %x) {{\n"
-        f"entry:\n  br label %body\n\nbody:\n  {body}\n  ret void\n}}\n"
+        f"entry:\n{setup}  br label %body\n\n"
+        f"body:\n  {body}\n  ret void\n}}\n"
     )
 
 
@@ -105,7 +128,9 @@ def _replayed(dg, lanes):
 def test_cut_check_matches_full_edge_replay(text, data):
     fn = parse_module(text).get_function("f")
     block = fn.blocks[1]
-    dg = DependenceGraph(block, AliasAnalysis(fn))
+    aa = AliasAnalysis(fn)
+    dg = DependenceGraph(block, aa)
+    assert dg.edges == pairwise_dependence_edges(dg, aa)
     lane_count = data.draw(st.integers(1, 4), label="lanes")
     lanes = [[] for _ in range(lane_count)]
     for inst in block.instructions:

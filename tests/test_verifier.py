@@ -262,3 +262,29 @@ class TestUseListIntegrity:
         a.uses = []
         with pytest.raises(VerificationError, match="use list"):
             verify_function(fn)
+
+    def _fn_with_add(self):
+        module, fn, block = make_fn(ret=I32, params=[I32, I32])
+        builder = IRBuilder(block)
+        x, y = fn.arguments
+        a = builder.add(x, builder.i32(1))
+        builder.ret(a)
+        return fn, a, y
+
+    def test_operand_rewritten_behind_use_list_detected(self):
+        fn, a, y = self._fn_with_add()
+        a.operands[0] = y  # the use record still sits on %x
+        with pytest.raises(VerificationError, match="operand 0 .* use list"):
+            verify_function(fn)
+
+    def test_use_record_of_another_slot_detected(self):
+        fn, a, y = self._fn_with_add()
+        a._use_links.reverse()  # each slot now names the other index
+        with pytest.raises(VerificationError, match="use list"):
+            verify_function(fn)
+
+    def test_operand_without_use_record_is_reported_not_raised(self):
+        fn, a, y = self._fn_with_add()
+        a.operands.append(y)  # no parallel use record
+        with pytest.raises(VerificationError, match="3 operands but 2 use records"):
+            verify_function(fn)
